@@ -16,60 +16,51 @@ namespace {
 
 constexpr std::size_t kAccTile = 1024;  // 8 KB: half of a typical L1d
 
-/// m[c0:c1] += zj * row[c0:c1] — the one FMA stream both the single-event
-/// and the batched accumulation paths are built from. Sharing this kernel is
-/// what makes push_many bit-identical to serial pushes BY CONSTRUCTION: per
-/// (event, output column) the adds are the same operations in the same
-/// order either way.
-TSUNAMI_HOT_PATH inline void accumulate_row_tile(const double* row, double zj,
-                                                 double* m, std::size_t c0,
-                                                 std::size_t c1) {
-  for (std::size_t c = c0; c < c1; ++c) m[c] += zj * row[c];
-}
-
-/// out += slab[p0:p1, :]^T z[p0:p1] — the per-tick truncated-posterior
-/// accumulation. Column-tiled so the output tile stays in L1 across all
-/// block rows: the naive row-by-row axpy re-streams the whole output vector
-/// (Nm Nt doubles) once per sensor, which dominated push latency for the
-/// MAP slab. The slab rows themselves are read exactly once either way.
+/// out_of(k) += slab[p0:p1, :]^T z_of(k)[p0:p1] for all k < K in ONE sweep
+/// over the slab rows — the per-tick truncated-posterior accumulation. Each
+/// row (the bandwidth cost) is loaded once and reused K times, and the
+/// columns are tiled so an output tile stays in L1 across all block rows
+/// (the naive row-by-row axpy re-streams the whole output vector, Nm Nt
+/// doubles, once per sensor). The loop order tile -> j -> k -> c gives every
+/// (k, c) the same j-ascending additions whatever K is, which is what makes
+/// a fused push bit-identical to K single pushes BY CONSTRUCTION. Tiles
+/// write disjoint columns, so K > 1 spreads them over the pool; at K == 1
+/// (a single push, the degraded-mode sweeps) they run on the caller.
+template <typename ZOf, typename OutOf>
 TSUNAMI_HOT_PATH void accumulate_block_rows(const Matrix& slab,
-                                            const std::vector<double>& z,
                                             std::size_t p0, std::size_t p1,
-                                            std::vector<double>& out) {
+                                            std::size_t nk, const ZOf& z_of,
+                                            const OutOf& out_of) {
   const std::size_t ncols = slab.cols();
   const double* w = slab.data();
-  double* m = out.data();
-  for (std::size_t c0 = 0; c0 < ncols; c0 += kAccTile) {
-    const std::size_t c1 = std::min(c0 + kAccTile, ncols);
-    for (std::size_t j = p0; j < p1; ++j) {
-      accumulate_row_tile(w + j * ncols, z[j], m, c0, c1);
-    }
-  }
-}
-
-/// Batched variant: outs[k] += slab[p0:p1, :]^T zs[k][p0:p1] for all K
-/// events in ONE sweep over the slab rows — each row (the bandwidth cost)
-/// is loaded once and reused K times. Tiles are independent (disjoint
-/// output columns), so the caller may parallelize over them; within a tile
-/// the loop order tile -> j -> k -> c keeps, for every (k, c), the same
-/// j-ascending addition order as accumulate_block_rows.
-TSUNAMI_HOT_PATH void accumulate_block_rows_many(
-    const Matrix& slab, std::size_t p0, std::size_t p1,
-    std::span<const double* const> zs, std::span<double* const> outs) {
-  const std::size_t ncols = slab.cols();
-  const std::size_t nk = zs.size();
-  const double* w = slab.data();
-  const std::size_t ntiles = (ncols + kAccTile - 1) / kAccTile;
-  parallel_for_min(ntiles, 2, [&](std::size_t tile) {
+  const auto sweep_tile = [&](std::size_t tile) {
     const std::size_t c0 = tile * kAccTile;
     const std::size_t c1 = std::min(c0 + kAccTile, ncols);
     for (std::size_t j = p0; j < p1; ++j) {
       const double* row = w + j * ncols;
       for (std::size_t k = 0; k < nk; ++k) {
-        accumulate_row_tile(row, zs[k][j], outs[k], c0, c1);
+        const double zj = z_of(k)[j];
+        double* m = out_of(k);
+        for (std::size_t c = c0; c < c1; ++c) m[c] += zj * row[c];
       }
     }
-  });
+  };
+  const std::size_t ntiles = (ncols + kAccTile - 1) / kAccTile;
+  if (nk == 1) {
+    for (std::size_t tile = 0; tile < ntiles; ++tile) sweep_tile(tile);
+  } else {
+    parallel_for_min(ntiles, 2, sweep_tile);
+  }
+}
+
+/// accumulate_block_rows for one vector: out += slab[p0:p1, :]^T z[p0:p1].
+TSUNAMI_HOT_PATH void accumulate_block_rows(const Matrix& slab,
+                                            const std::vector<double>& z,
+                                            std::size_t p0, std::size_t p1,
+                                            std::vector<double>& out) {
+  accumulate_block_rows(
+      slab, p0, p1, 1, [&](std::size_t) { return z.data(); },
+      [&](std::size_t) { return out.data(); });
 }
 
 }  // namespace
@@ -296,46 +287,12 @@ bool StreamingAssimilator::tick_has_new_dead(
 }
 
 TSUNAMI_HOT_PATH void StreamingAssimilator::push(
-    std::size_t tick, std::span<const double> d_block) {
-  push(tick, d_block, {});
-}
-
-TSUNAMI_HOT_PATH void StreamingAssimilator::push(
     std::size_t tick, std::span<const double> d_block,
     std::span<const std::uint8_t> valid) {
-  eng_.check_alive("StreamingAssimilator::push");
-  if (complete())
-    throw std::logic_error("StreamingAssimilator::push: event window full");
-  if (tick != t_)
-    throw std::invalid_argument(
-        "StreamingAssimilator::push: out-of-order tick");
-  if (d_block.size() != eng_.block_size())
-    throw std::invalid_argument(
-        "StreamingAssimilator::push: block size mismatch");
-  if (!valid.empty() && valid.size() != eng_.block_size())
-    throw std::invalid_argument(
-        "StreamingAssimilator::push: validity bitmap size mismatch");
-
-  TRACE_SCOPE("stream", "push");
-  Stopwatch watch;
-  const std::size_t p0 = t_ * eng_.block_size();
-  const std::size_t p1 = p0 + eng_.block_size();
-  stage_block(d_block, valid, p0);
-  // Extend z = L^{-1} d by one block row (causality of forward substitution).
-  eng_.chol().forward_solve_range(z_, p0, p1);
-  // Extend the dead-row projection over the new rows before anything reads
-  // it (the accumulators below are projection-agnostic: corrections are
-  // applied at forecast/map read time, never folded into q_mean_/m_map_).
-  if (!dead_.empty() || tick_has_new_dead(valid))
-    advance_degraded(p0, p1, valid);
-  // Accumulate the new block's contribution to the truncated posterior,
-  // column-tiled (one output sweep per tick, not one per sensor).
-  accumulate_block_rows(eng_.r_, z_, p0, p1, q_mean_);
-  if (eng_.tracks_map())
-    accumulate_block_rows(eng_.wstar_, z_, p0, p1, m_map_);
-  ++t_;
-  last_push_seconds_ = watch.seconds();
-  total_push_seconds_ += last_push_seconds_;
+  StreamingAssimilator* const self = this;
+  push_many(std::span<StreamingAssimilator* const>(&self, 1), tick,
+            std::span<const std::span<const double>>(&d_block, 1),
+            std::span<const std::span<const std::uint8_t>>(&valid, 1));
 }
 
 // ---- degraded-mode projection ----------------------------------------------
@@ -519,12 +476,6 @@ void StreamingAssimilator::restore_sensor(std::size_t s) {
 
 TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
     std::span<StreamingAssimilator* const> events, std::size_t tick,
-    std::span<const std::span<const double>> blocks) {
-  push_many(events, tick, blocks, {});
-}
-
-TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
-    std::span<StreamingAssimilator* const> events, std::size_t tick,
     std::span<const std::span<const double>> blocks,
     std::span<const std::span<const std::uint8_t>> valids) {
   const std::size_t nk = events.size();
@@ -538,12 +489,8 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
   const auto valid_of = [&](std::size_t k) {
     return valids.empty() ? std::span<const std::uint8_t>{} : valids[k];
   };
-  if (nk == 1) {
-    events[0]->push(tick, blocks[0], valid_of(0));
-    return;
-  }
   const StreamingEngine& eng = events[0]->eng_;
-  eng.check_alive("StreamingAssimilator::push_many");
+  eng.check_alive("StreamingAssimilator::push");
   const std::size_t nd = eng.block_size();
   for (std::size_t k = 0; k < nk; ++k) {
     StreamingAssimilator* ev = events[k];
@@ -551,17 +498,16 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
       throw std::invalid_argument(
           "StreamingAssimilator::push_many: events must share one engine");
     if (ev->complete())
-      throw std::logic_error(
-          "StreamingAssimilator::push_many: event window full");
+      throw std::logic_error("StreamingAssimilator::push: event window full");
     if (ev->t_ != tick)
       throw std::invalid_argument(
-          "StreamingAssimilator::push_many: events not tick-aligned");
+          "StreamingAssimilator::push: out-of-order tick");
     if (blocks[k].size() != nd)
       throw std::invalid_argument(
-          "StreamingAssimilator::push_many: block size mismatch");
+          "StreamingAssimilator::push: block size mismatch");
     if (!valid_of(k).empty() && valid_of(k).size() != nd)
       throw std::invalid_argument(
-          "StreamingAssimilator::push_many: validity bitmap size mismatch");
+          "StreamingAssimilator::push: validity bitmap size mismatch");
     for (std::size_t j = 0; j < k; ++j) {
       if (events[j] == ev)
         throw std::invalid_argument(
@@ -569,15 +515,19 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
     }
   }
 
-  TRACE_SCOPE("stream", "push_many");
+  TRACE_SCOPE("stream", "push");
   Stopwatch watch;
   const std::size_t p0 = tick * nd;
   const std::size_t p1 = p0 + nd;
-  // Per-event forward-substitution extension: independent events, so the
-  // batch dimension parallelizes freely (each body touches only event k).
-  // Degraded events also advance their private projection state here — it
-  // reads only this event's z and the shared immutable factor, so the
-  // per-(event, output) operation order is identical to a serial push.
+  // Per-event staging + forward-substitution extension z = L^{-1} d by one
+  // block row (causality of forward substitution). Independent events, so
+  // the batch dimension parallelizes freely (each body touches only event
+  // k). Degraded events also extend their private dead-row projection over
+  // the new rows here, before anything reads it — it reads only this
+  // event's z and the shared immutable factor, so the per-(event, output)
+  // operation order is independent of K. The slab accumulators below are
+  // projection-agnostic: corrections are applied at forecast/map read time,
+  // never folded into q_mean_/m_map_.
   parallel_for_min(nk, 2, [&](std::size_t k) {
     StreamingAssimilator* ev = events[k];
     ev->stage_block(blocks[k], valid_of(k), p0);
@@ -586,29 +536,17 @@ TSUNAMI_HOT_PATH void StreamingAssimilator::push_many(
       ev->advance_degraded(p0, p1, valid_of(k));
   });
 
-  // One sweep over each slab's new block rows serves every event. The
-  // pointer tables live in thread_local scratch that grows to the largest
-  // batch this thread has seen and is then reused, so steady-state batched
-  // pushes stay allocation-free (proved by tests/test_debug.cpp).
-  static thread_local std::vector<const double*> zs;
-  static thread_local std::vector<double*> q_outs;
-  static thread_local std::vector<double*> m_outs;
-  zs.resize(nk);      // lint: allow(hot-path-alloc) grow-once scratch
-  q_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
-  for (std::size_t k = 0; k < nk; ++k) {
-    zs[k] = events[k]->z_.data();
-    q_outs[k] = events[k]->q_mean_.data();
-  }
-  accumulate_block_rows_many(eng.r_, p0, p1,
-                             std::span<const double* const>(zs),
-                             std::span<double* const>(q_outs));
-  if (eng.tracks_map()) {
-    m_outs.resize(nk);  // lint: allow(hot-path-alloc) grow-once scratch
-    for (std::size_t k = 0; k < nk; ++k) m_outs[k] = events[k]->m_map_.data();
-    accumulate_block_rows_many(eng.wstar_, p0, p1,
-                               std::span<const double* const>(zs),
-                               std::span<double* const>(m_outs));
-  }
+  // One sweep over each slab's new block rows serves every event.
+  const auto z_of = [&](std::size_t k) -> const double* {
+    return events[k]->z_.data();
+  };
+  accumulate_block_rows(eng.r_, p0, p1, nk, z_of, [&](std::size_t k) {
+    return events[k]->q_mean_.data();
+  });
+  if (eng.tracks_map())
+    accumulate_block_rows(eng.wstar_, p0, p1, nk, z_of, [&](std::size_t k) {
+      return events[k]->m_map_.data();
+    });
 
   const double per_event = watch.seconds() / static_cast<double>(nk);
   for (std::size_t k = 0; k < nk; ++k) {

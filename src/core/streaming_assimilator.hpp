@@ -181,9 +181,8 @@ class StreamingAssimilator {
   /// arrive in order at 1 Hz in deployment; gaps/reordering are the
   /// transport layer's problem). `d_block` holds the Nd sensor values of
   /// that interval. Updates z, q_map, and (if tracked) m_map incrementally.
-  TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block);
-
-  /// As push(), but with a per-channel validity bitmap (`valid[c] != 0`
+  ///
+  /// `valid` is an optional per-channel validity bitmap (`valid[c] != 0`
   /// means channel c's sample is usable; empty = all valid). Invalid
   /// channels are projected out of the posterior *exactly* — equivalent to
   /// marginalizing their noise to infinity, not to assimilating zeros — via
@@ -191,29 +190,27 @@ class StreamingAssimilator {
   /// loss (all channels invalid) keeps the stream advancing with the tick
   /// contributing no information. Rows pushed invalid are permanently dead:
   /// the sample never existed, so restore_sensor cannot resurrect them.
+  ///
+  /// The K == 1 case of push_many.
   TSUNAMI_HOT_PATH void push(std::size_t tick, std::span<const double> d_block,
-                             std::span<const std::uint8_t> valid);
+                             std::span<const std::uint8_t> valid = {});
 
-  /// Batched cross-event push: assimilate interval `tick` for K events at
-  /// once. All assimilators must share the SAME engine (the slabs are
-  /// immutable and shared) and all must be exactly at `tick`; blocks[k] is
-  /// event k's Nd-vector. One pass over the slab block rows serves every
-  /// event — the slab is the bandwidth bottleneck of a push, so K events
-  /// cost barely more than one. Bit-identical to K serial push() calls:
-  /// the batched accumulation performs, per (event, output) pair, the same
-  /// additions in the same j-ascending order as the single-event path
-  /// (asserted by the determinism and service suites). K == 1 degenerates
-  /// to push(). Per-event timers record the batch time divided by K.
-  TSUNAMI_HOT_PATH static void push_many(
-      std::span<StreamingAssimilator* const> events, std::size_t tick,
-      std::span<const std::span<const double>> blocks);
-
-  /// Batched push with per-event validity bitmaps (`valids` empty = all
-  /// valid everywhere; an individual empty bitmap = that block fully valid).
+  /// Assimilate interval `tick` for K events at once — the one push kernel.
+  /// All assimilators must share the SAME engine (the slabs are immutable
+  /// and shared) and all must be exactly at `tick`; blocks[k] is event k's
+  /// Nd-vector and valids[k] its optional bitmap (`valids` empty = all
+  /// valid everywhere; an individual empty bitmap = that block fully
+  /// valid). One pass over the slab block rows serves every event — the
+  /// slab is the bandwidth bottleneck of a push, so K events cost barely
+  /// more than one. Per (event, output) pair the accumulation performs the
+  /// same additions in the same j-ascending order whatever K is, so a fused
+  /// push is bit-identical to K single pushes (asserted by the determinism
+  /// and service suites). Per-event timers record the batch time divided by
+  /// K.
   TSUNAMI_HOT_PATH static void push_many(
       std::span<StreamingAssimilator* const> events, std::size_t tick,
       std::span<const std::span<const double>> blocks,
-      std::span<const std::span<const std::uint8_t>> valids);
+      std::span<const std::span<const std::uint8_t>> valids = {});
 
   // ---- degraded-mode control plane (ISSUE 10) ------------------------------
   // Sensor dropout does NOT touch the engine: the shared slabs and factor

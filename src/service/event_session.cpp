@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.hpp"
 
@@ -44,13 +45,8 @@ void EventSession::journal_mark(JournalKind kind, std::uint64_t tick,
 }
 
 bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
-                          ServiceTelemetry& telemetry) {
-  return submit(tick, d_block, {}, telemetry);
-}
-
-bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
-                          std::span<const std::uint8_t> valid,
-                          ServiceTelemetry& telemetry) {
+                          ServiceTelemetry& telemetry,
+                          std::span<const std::uint8_t> valid) {
   const StreamingEngine& eng = engine_->engine();
   // Corrupt-block rejection: malformed wire data (impossible tick, wrong
   // block dimension, wrong bitmap dimension) is journaled and refused HERE,
@@ -93,7 +89,7 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
     // advance next_expected_ to exactly this tick while we sleep, at which
     // point this block is the only one that can unblock the session and
     // waiting for queue space (which can't free without it) would deadlock.
-    // take_runnable_locked notifies space_cv_ on every advance.
+    // take_one_runnable notifies space_cv_ on every advance.
     telemetry.on_blocked();
     const std::int64_t wait_begin = obs::monotonic_ns();
     space_cv_.wait(lock, [&] {
@@ -126,18 +122,6 @@ bool EventSession::submit(std::size_t tick, std::span<const double> d_block,
     return true;
   }
   return false;
-}
-
-void EventSession::take_runnable_locked(std::vector<Block>& batch) {
-  batch.clear();
-  while (!pending_.empty() && pending_.begin()->first == next_expected_) {
-    auto node = pending_.extract(pending_.begin());
-    batch.push_back(Block{node.key(), std::move(node.mapped().data),
-                          std::move(node.mapped().valid),
-                          node.mapped().enqueue_ns});
-    ++next_expected_;
-  }
-  if (!batch.empty()) space_cv_.notify_all();
 }
 
 bool EventSession::try_schedule() {
@@ -174,40 +158,82 @@ bool EventSession::release_if_idle() {
   return true;
 }
 
-void EventSession::drain_for(ServiceTelemetry& telemetry) {
-  // drain_batch_ is owner-only scratch (only the worker that won the
-  // scheduled flag runs here): its capacity survives across cycles and
-  // sessions' lifetimes, so a steady-state drain performs no allocation —
-  // the blocks' data vectors are moved out of the map nodes, not copied.
-  for (;;) {
-    // Sensor control ops land at cycle boundaries: never inside a push, and
-    // the corrected forecast publishes immediately even when no data is
-    // buffered (the common case for a drop on a quiet session).
-    if (apply_pending_mask_ops()) publish_forecast_only();
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      take_runnable_locked(drain_batch_);
-      if (drain_batch_.empty()) {
-        if (!mask_ops_.empty()) continue;  // a control op raced this branch
-        // Going idle. A submit racing with this branch either ran before we
-        // took the lock (its block would be in the batch) or runs after
-        // scheduled_ drops (and wins the flag itself) — no lost wakeups.
-        scheduled_ = false;
-        idle_cv_.notify_all();
-        return;
+void EventSession::drain(std::span<EventSession* const> owned,
+                         ServiceTelemetry& telemetry) {
+  // Round scratch: thread_local, so its capacity survives across drains and
+  // a steady-state round does not allocate (the blocks' data vectors are
+  // moved out of the map nodes, not copied). It holds raw pointers only —
+  // the caller owns the sessions — so it never keeps one alive. A drain
+  // never runs nested inside another on one thread: pool loops only ever
+  // execute their own items.
+  struct Round {
+    std::vector<EventSession*> active, next;
+    std::vector<Block> blocks;  ///< blocks[i]: what active[i] popped
+    std::vector<char> has;      ///< has[i]: active[i] popped a block
+    std::vector<std::size_t> order;  ///< indices with a block, by tick
+    std::vector<StreamingAssimilator*> events;
+    std::vector<std::span<const double>> data;
+    std::vector<std::span<const std::uint8_t>> valids;
+  };
+  static thread_local Round r;
+  TRACE_SCOPE("service", "drain");
+  r.active.assign(owned.begin(), owned.end());
+  while (!r.active.empty()) {
+    const std::size_t n = r.active.size();
+    r.blocks.resize(n);
+    r.has.assign(n, 0);
+    r.order.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      EventSession* s = r.active[i];
+      // Sensor control ops land at round boundaries: never inside a push,
+      // and the corrected forecast publishes immediately even when no data
+      // is buffered (the common case for a drop on a quiet session).
+      // release_if_idle refuses to idle past a queued op, so one queued
+      // mid-round is applied next round, never lost.
+      if (s->apply_pending_mask_ops()) s->publish_forecast_only();
+      if (s->take_one_runnable(r.blocks[i])) {
+        r.has[i] = 1;
+        r.order.push_back(i);
       }
     }
-    // The slow part — the actual prefix-Cholesky pushes — runs without any
-    // lock: producers keep submitting and other sessions keep draining.
-    for (const Block& b : drain_batch_) assimilate(b, telemetry);
+    std::sort(r.order.begin(), r.order.end(),
+              [&](std::size_t a, std::size_t b) {
+                return r.blocks[a].tick != r.blocks[b].tick
+                           ? r.blocks[a].tick < r.blocks[b].tick
+                           : a < b;
+              });
+    // One push_many per tick-aligned group. The slow part — the slab
+    // sweep — runs without any lock: producers keep submitting and other
+    // sessions keep draining.
+    for (std::size_t g0 = 0, g1 = 0; g0 < r.order.size(); g0 = g1) {
+      const std::size_t tick = r.blocks[r.order[g0]].tick;
+      r.events.clear();
+      r.data.clear();
+      r.valids.clear();
+      for (g1 = g0; g1 < r.order.size() && r.blocks[r.order[g1]].tick == tick;
+           ++g1) {
+        const std::size_t i = r.order[g1];
+        // Arm each session's latency-budget context now: the sweep is where
+        // every block's queue wait ends and its push begins.
+        r.active[i]->begin_push_ctx(tick, r.blocks[i].enqueue_ns);
+        r.events.push_back(&r.active[i]->assim_);
+        r.data.push_back(r.blocks[i].data);
+        r.valids.push_back(r.blocks[i].valid);
+      }
+      StreamingAssimilator::push_many(r.events, tick, r.data, r.valids);
+      for (std::size_t g = g0; g < g1; ++g)
+        r.active[r.order[g]]->publish_after_push(telemetry);
+    }
+    // Keep sessions that produced a block (they may have more); release the
+    // rest — unless a submit or set_sensor raced work in, in which case the
+    // release fails and the session stays ours for the next round.
+    r.next.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (r.has[i] || !r.active[i]->release_if_idle())
+        r.next.push_back(r.active[i]);
+    }
+    r.active.swap(r.next);
   }
-}
-
-void EventSession::assimilate(const Block& block,
-                              ServiceTelemetry& telemetry) {
-  begin_push_ctx(block.tick, block.enqueue_ns);
-  assim_.push(block.tick, block.data, block.valid);
-  publish_after_push(telemetry);
 }
 
 void EventSession::set_sensor(std::size_t s, bool live,
@@ -222,9 +248,8 @@ void EventSession::set_sensor(std::size_t s, bool live,
       throw std::logic_error("EventSession::set_sensor: event is closed");
     mask_ops_.push_back(MaskOp{s, live});
     // Idle session: this caller wins the scheduled flag and applies the op
-    // itself. Otherwise the owning worker picks it up at its next cycle
-    // boundary (drain_for's loop head, or the batcher's round head) —
-    // release_if_idle refuses to idle past a queued op, so it cannot
+    // itself. Otherwise the owning drainer picks it up at its next round
+    // head — release_if_idle refuses to idle past a queued op, so it cannot
     // linger.
     if (!scheduled_) {
       scheduled_ = true;
@@ -233,7 +258,12 @@ void EventSession::set_sensor(std::size_t s, bool live,
   }
   journal_mark(live ? JournalKind::kSensorRestore : JournalKind::kSensorDrop,
                s);
-  if (owner) drain_for(telemetry);  // applies the op, republishes, releases
+  if (owner) {
+    // Applies the op, republishes, drains any backlog, releases — on this
+    // thread, before set_sensor returns.
+    EventSession* const self = this;
+    drain(std::span<EventSession* const>(&self, 1), telemetry);
+  }
 }
 
 bool EventSession::apply_pending_mask_ops() {

@@ -26,10 +26,10 @@
 //     records for reorder stalls, backpressure, alert latch, and close.
 //
 // Threading contract: any number of producer threads may call submit();
-// at most one drain job at a time owns the session (enforced by the
-// scheduled-flag protocol: won either by submit() returning true or by the
-// cross-event batcher's try_schedule()); snapshot()/wait_idle() are safe
-// from anywhere.
+// at most one drainer at a time owns the session (enforced by the
+// scheduled-flag protocol: won by submit() returning true, by the service's
+// try_schedule() co-opt, or by an idle-session set_sensor()) and runs it
+// through drain(); snapshot()/wait_idle() are safe from anywhere.
 
 #include <atomic>
 #include <condition_variable>
@@ -104,21 +104,19 @@ class EventSession {
   /// throw std::logic_error. Returns true iff the caller must schedule
   /// this session on a worker (in-order work became available and no
   /// worker currently owns the session).
+  ///
+  /// `valid` is an optional partial-tick bitmap: `valid[c] == 0` marks
+  /// channel c of this block as lost on the wire (the assimilator projects
+  /// it out exactly — see StreamingAssimilator's degraded-mode contract).
+  /// It must be empty (all channels present) or exactly block-size long; an
+  /// all-ones bitmap is normalized to empty so fully-valid partial submits
+  /// stay on the bitwise-identical healthy path. A block whose dimensions
+  /// disagree with the network (data OR bitmap) is journaled as kReject,
+  /// counted in telemetry, and refused with std::invalid_argument — at the
+  /// submit boundary, never out of a drain worker.
   [[nodiscard]] bool submit(std::size_t tick, std::span<const double> d_block,
-                            ServiceTelemetry& telemetry);
-
-  /// Partial-tick submit: `valid[c] == 0` marks channel c of this block as
-  /// lost on the wire (the assimilator projects it out exactly — see
-  /// StreamingAssimilator's degraded-mode contract). `valid` must be empty
-  /// (all channels present) or exactly block-size long; an all-ones bitmap
-  /// is normalized to empty so fully-valid partial submits stay on the
-  /// bitwise-identical healthy fast path. A block whose dimensions disagree
-  /// with the network (data OR bitmap) is journaled as kReject, counted in
-  /// telemetry, and refused with std::invalid_argument — at the submit
-  /// boundary, never out of a drain worker.
-  [[nodiscard]] bool submit(std::size_t tick, std::span<const double> d_block,
-                            std::span<const std::uint8_t> valid,
-                            ServiceTelemetry& telemetry);
+                            ServiceTelemetry& telemetry,
+                            std::span<const std::uint8_t> valid = {});
 
   /// Control plane: drop (live == false) or restore (live == true) sensor
   /// channel `s` for this event, mid-stream. Journals kSensorDrop /
@@ -129,10 +127,20 @@ class EventSession {
   /// at its next cycle boundary (so the op never races a push).
   void set_sensor(std::size_t s, bool live, ServiceTelemetry& telemetry);
 
-  /// Worker entry point: assimilate every in-order buffered block, then
-  /// release the session. Only the worker that won the scheduled flag (via
-  /// submit() returning true) may call this.
-  void drain_for(ServiceTelemetry& telemetry);
+  /// The drain loop — the one route from the ingest queues to the slab
+  /// sweep. The caller must own every session in `owned` (hold its
+  /// scheduled flag: submit() returned true, try_schedule() succeeded) and
+  /// keep them alive until drain returns. Each round applies queued sensor
+  /// ops, pops at most ONE in-order block per session, pushes each
+  /// tick-aligned group through one StreamingAssimilator::push_many, and
+  /// publishes every pushed session; sessions that ran dry are released.
+  /// Per session the blocks land in strict tick order through the same FP
+  /// operations whoever shares the sweep, so fusion never changes a result.
+  /// Returns once every session is released. Sessions in one call must
+  /// share one engine. Round scratch is thread_local and reused, so a
+  /// steady-state round allocates nothing.
+  static void drain(std::span<EventSession* const> owned,
+                    ServiceTelemetry& telemetry);
 
   /// Refuse further submits (and wake producers blocked on backpressure,
   /// who then see the session closing and throw).
@@ -158,9 +166,7 @@ class EventSession {
   [[nodiscard]] const CachedEngine& cached_engine() const { return *engine_; }
 
  private:
-  /// The batcher in WarningService drives sessions through the fine-grained
-  /// hooks below (try_schedule / take_one_runnable / release_if_idle /
-  /// publish_after_push) instead of drain_for.
+  /// WarningService co-opts peers for a drain via try_schedule.
   friend class WarningService;
 
   struct Block {
@@ -191,29 +197,22 @@ class EventSession {
     bool live;
   };
 
-  /// Move the runnable prefix (consecutive ticks from next_expected_) out
-  /// of the buffer into `batch` (cleared first; its capacity and the map
-  /// nodes' data vectors are reused, so a steady-state drain cycle does not
-  /// allocate). Called under state_mutex_.
-  void take_runnable_locked(std::vector<Block>& batch);
-
-  /// Batcher co-opt: win the scheduled flag iff in-order work is available
+  /// Drain co-opt: win the scheduled flag iff in-order work is available
   /// and no drain job owns the session. On true the caller owns the session
   /// until release_if_idle() succeeds.
   [[nodiscard]] bool try_schedule();
 
-  /// Pop exactly the next in-order block (if buffered) into `out`. Owner
-  /// only. Advances next_expected_ and wakes backpressure waiters.
+  /// Pop exactly the next in-order block (if buffered) into `out` (its data
+  /// vectors are moved out of the map node, not copied). Owner only.
+  /// Advances next_expected_ and wakes backpressure waiters.
   [[nodiscard]] bool take_one_runnable(Block& out);
 
-  /// Drop the scheduled flag iff no in-order work remains; returns false
-  /// (still owned) when a racing submit buffered the next tick — the owner
-  /// must then keep draining. Mirrors drain_for's lost-wakeup-free release.
+  /// Drop the scheduled flag iff no in-order work and no sensor op
+  /// remains; returns false (still owned) when a racing submit buffered the
+  /// next tick or a set_sensor queued an op — the owner must then keep
+  /// draining. No lost wakeups: a racing submit either lands before the
+  /// check (and is seen) or after the flag drops (and wins it itself).
   [[nodiscard]] bool release_if_idle();
-
-  /// Push one block through the assimilator and refresh the snapshot +
-  /// alert latch. Called by the owning worker only (no state_mutex_).
-  void assimilate(const Block& block, ServiceTelemetry& telemetry);
 
   /// Owner only: pop and apply every queued set_sensor op (in order).
   /// Returns true iff any op was applied — the caller then republishes via
@@ -230,21 +229,19 @@ class EventSession {
   /// Arm the latency-budget context for the block about to be pushed: marks
   /// the push start (= end of the block's queue wait) and remembers its tick
   /// and enqueue stamp for the journal record publish_after_push emits.
-  /// Owner only; the batched path calls it just before push_many.
+  /// Owner only; drain() calls it just before push_many.
   void begin_push_ctx(std::size_t tick, std::int64_t enqueue_ns);
 
-  /// The publish half of assimilate(): telemetry sample, rolling forecast,
-  /// alert latch, snapshot swap, journal record — for blocks whose push
-  /// already happened (the batched cross-event path). Owner only; requires
-  /// a preceding begin_push_ctx for this block.
+  /// The publish half of a push: telemetry sample, rolling forecast, alert
+  /// latch, snapshot swap, journal record — for the block push_many just
+  /// assimilated. Owner only; requires a preceding begin_push_ctx for this
+  /// block.
   void publish_after_push(ServiceTelemetry& telemetry);
 
   /// Append a non-budget lifecycle record (open/stall/backpressure/close)
   /// if a journal is attached. Any thread; lock- and allocation-free.
   void journal_mark(JournalKind kind, std::uint64_t tick,
                     std::int64_t duration_ns = 0);
-
-  [[nodiscard]] StreamingAssimilator& assimilator() { return assim_; }
 
   const EventId id_;
   const std::shared_ptr<const CachedEngine> engine_;  ///< shared, immutable
@@ -268,9 +265,6 @@ class EventSession {
   std::int64_t push_enqueue_ns_ = 0;
   std::int64_t push_start_ns_ = 0;
   bool first_publish_done_ = false;
-  /// drain_for's batch scratch: owner-only (like assim_), grows to the
-  /// largest runnable prefix ever drained and is then reused.
-  std::vector<Block> drain_batch_;
 
   // Ingest queue + scheduling state, guarded by state_mutex_.
   mutable std::mutex state_mutex_;

@@ -1,17 +1,23 @@
 #include "service/warning_service.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace tsunami {
+
+namespace {
+
+/// Most sessions one drain job fuses into a push_many sweep. Wider groups
+/// amortize each slab row over more events; the cap bounds how long one
+/// job holds its peers.
+constexpr std::size_t kBatchWidth = 16;
+
+}  // namespace
 
 WarningService::WarningService(const ServiceOptions& options)
     : options_(options), journal_(options.journal_capacity) {
@@ -19,8 +25,6 @@ WarningService::WarningService(const ServiceOptions& options)
     throw std::invalid_argument("WarningService: num_workers == 0");
   if (options_.max_pending_per_event == 0)
     throw std::invalid_argument("WarningService: max_pending_per_event == 0");
-  if (options_.max_batch_events == 0)
-    throw std::invalid_argument("WarningService: max_batch_events == 0");
 }
 
 WarningService::~WarningService() {
@@ -61,19 +65,13 @@ EventId WarningService::open_event(std::shared_ptr<const CachedEngine> engine,
 }
 
 void WarningService::submit(EventId id, std::size_t tick,
-                            std::span<const double> d_block) {
+                            std::span<const double> d_block,
+                            std::span<const std::uint8_t> valid) {
   // Hold the session by shared_ptr, not iterator: a concurrent close only
   // removes it from the map, and a submit that raced past the removal gets
   // the session's own closed-event throw.
   const std::shared_ptr<EventSession> s = session(id);
-  if (s->submit(tick, d_block, telemetry_)) enqueue_ready(s);
-}
-
-void WarningService::submit(EventId id, std::size_t tick,
-                            std::span<const double> d_block,
-                            std::span<const std::uint8_t> valid) {
-  const std::shared_ptr<EventSession> s = session(id);
-  if (s->submit(tick, d_block, valid, telemetry_)) enqueue_ready(s);
+  if (s->submit(tick, d_block, telemetry_, valid)) enqueue_ready(s);
 }
 
 void WarningService::drop_sensor(EventId id, std::size_t s) {
@@ -234,103 +232,37 @@ void WarningService::pump_locked() {
 }
 
 void WarningService::run_drain(std::shared_ptr<EventSession> leader) {
-  // The session arrives with its scheduled flag held (won by the submit that
-  // enqueued it), so this job is its sole drainer until release.
-  TRACE_SCOPE("service", "drain");
-  if (options_.cross_event_batching && options_.max_batch_events > 1)
-    drain_batched(std::move(leader));
-  else
-    leader->drain_for(telemetry_);
+  {
+    // The leader arrives with its scheduled flag held (won by the submit
+    // that enqueued it), so this job is its sole drainer until release.
+    // Co-opt peers: sessions on the SAME engine with in-order work and no
+    // owner. try_schedule wins their scheduled flag without waiting (never
+    // block under sessions_mutex_), so each co-opted session is ours
+    // exclusively until EventSession::drain releases it. `held` keeps them
+    // all alive for the whole drain: a peer released mid-drain may be
+    // closed and dropped from sessions_ at once.
+    std::vector<std::shared_ptr<EventSession>> held;
+    held.push_back(std::move(leader));
+    {
+      const StreamingEngine* eng = &held.front()->cached_engine().engine();
+      const std::lock_guard<std::mutex> lock(sessions_mutex_);
+      for (const auto& [_, s] : sessions_) {
+        if (held.size() >= kBatchWidth) break;
+        if (s == held.front()) continue;
+        if (&s->cached_engine().engine() != eng) continue;
+        if (s->try_schedule()) held.push_back(s);
+      }
+    }
+    std::vector<EventSession*> owned;
+    owned.reserve(held.size());
+    for (const auto& s : held) owned.push_back(s.get());
+    EventSession::drain(owned, telemetry_);
+  }
 
   const std::lock_guard<std::mutex> lock(queue_mutex_);
   --active_drains_;
   pump_locked();
   if (active_drains_ == 0) drains_cv_.notify_all();
-}
-
-void WarningService::drain_batched(std::shared_ptr<EventSession> leader) {
-  // Co-opt peers: sessions on the SAME engine with in-order work and no
-  // owner. try_schedule wins their scheduled flag, so from here until
-  // release_if_idle succeeds each co-opted session is ours exclusively —
-  // exactly the ownership a drain job would have had, acquired without
-  // waiting (never block under sessions_mutex_).
-  std::vector<std::shared_ptr<EventSession>> active;
-  active.push_back(std::move(leader));
-  {
-    const StreamingEngine* eng = &active.front()->cached_engine().engine();
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (const auto& [_, s] : sessions_) {
-      if (active.size() >= options_.max_batch_events) break;
-      if (s == active.front()) continue;
-      if (&s->cached_engine().engine() != eng) continue;
-      if (s->try_schedule()) active.push_back(s);
-    }
-  }
-
-  // Round loop: pop at most ONE in-order block per session per round, fuse
-  // the tick-aligned groups through push_many, publish each session, and
-  // release sessions that ran dry. Per session the blocks still land in
-  // strict tick order through the same FP operations (push_many is
-  // bit-identical to serial pushes by construction), so batching cannot
-  // change any event's result — only how many slab sweeps pay for them.
-  TRACE_SCOPE("service", "drain_batched");
-  std::vector<StreamingAssimilator*> group_events;
-  std::vector<std::span<const double>> group_blocks;
-  std::vector<std::span<const std::uint8_t>> group_valids;
-  while (!active.empty()) {
-    const std::size_t n = active.size();
-    std::vector<EventSession::Block> blocks(n);
-    std::vector<char> has(n, 0);
-    std::map<std::size_t, std::vector<std::size_t>> by_tick;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Sensor control ops land at round boundaries, mirroring drain_for's
-      // cycle head — release_if_idle below refuses to idle past one, so an
-      // op queued mid-round is applied next round, never lost.
-      if (active[i]->apply_pending_mask_ops())
-        active[i]->publish_forecast_only();
-      if (active[i]->take_one_runnable(blocks[i])) {
-        has[i] = 1;
-        by_tick[blocks[i].tick].push_back(i);
-      }
-    }
-    for (const auto& [tick, idxs] : by_tick) {
-      if (idxs.size() == 1) {
-        // Degenerate group: the plain single-event push path.
-        active[idxs.front()]->assimilate(blocks[idxs.front()], telemetry_);
-        continue;
-      }
-      group_events.clear();
-      group_blocks.clear();
-      group_valids.clear();
-      bool any_valid_bitmap = false;
-      for (const std::size_t i : idxs) {
-        // Arm each session's latency-budget context now: the fused sweep is
-        // where every block's queue wait ends and its push begins.
-        active[i]->begin_push_ctx(tick, blocks[i].enqueue_ns);
-        group_events.push_back(&active[i]->assimilator());
-        group_blocks.push_back(blocks[i].data);
-        group_valids.push_back(blocks[i].valid);
-        any_valid_bitmap |= !blocks[i].valid.empty();
-      }
-      if (any_valid_bitmap)
-        StreamingAssimilator::push_many(group_events, tick, group_blocks,
-                                        group_valids);
-      else
-        StreamingAssimilator::push_many(group_events, tick, group_blocks);
-      for (const std::size_t i : idxs)
-        active[i]->publish_after_push(telemetry_);
-    }
-    // Keep sessions that produced a block (they may have more); for the
-    // rest, release — unless a submit raced new in-order work in, in which
-    // case release fails and the session stays ours for the next round.
-    std::vector<std::shared_ptr<EventSession>> next;
-    next.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (has[i] || !active[i]->release_if_idle())
-        next.push_back(std::move(active[i]));
-    }
-    active.swap(next);
-  }
 }
 
 }  // namespace tsunami

@@ -9,9 +9,11 @@
 // ThreadPool pull per-event ingest queues and push observations through
 // per-event StreamingAssimilators, all of which share the immutable
 // per-network StreamingEngine slabs held by an EngineCache — hundreds of
-// sessions, one copy of the operators. Sessions on the SAME engine that are
-// tick-aligned get their pushes fused into one multi-RHS slab sweep
-// (StreamingAssimilator::push_many): the slab is the bandwidth cost of a
+// sessions, one copy of the operators. There is one ingest path: a drain
+// job co-opts up to 16 idle sessions on its leader's engine and runs them
+// through EventSession::drain, whose rounds push every tick-aligned group
+// through one multi-RHS slab sweep (StreamingAssimilator::push_many; a
+// lone session is a group of one): the slab is the bandwidth cost of a
 // push, so K concurrent events cost barely more than one.
 //
 //   EngineCache cache;                          // one per process
@@ -60,14 +62,6 @@ struct ServiceOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Alert rule applied when open_event() is not given one.
   AlertPolicy default_alert{};
-  /// Fuse tick-aligned pushes from sessions sharing one engine into one
-  /// multi-RHS slab sweep (StreamingAssimilator::push_many). Bit-identical
-  /// to unbatched draining — per-event results cannot depend on who else is
-  /// in the batch (asserted in tests) — so this is purely a throughput
-  /// knob.
-  bool cross_event_batching = true;
-  /// Most sessions fused into one batched sweep (>= 1; 1 disables fusion).
-  std::size_t max_batch_events = 16;
   /// Retained records in the service-wide lifecycle journal (EventJournal;
   /// oldest overwritten first). Appends are wait-free from drain workers.
   std::size_t journal_capacity = 1 << 16;
@@ -95,16 +89,14 @@ class WarningService {
   /// tick order within the event window; duplicates and out-of-range ticks
   /// throw std::invalid_argument, unknown ids std::out_of_range, closed
   /// events std::logic_error, and a full queue blocks or throws
-  /// ServiceOverloaded per the backpressure policy.
-  void submit(EventId id, std::size_t tick, std::span<const double> d_block);
-
-  /// Partial-tick ingest: `valid[c] == 0` marks channel c as lost on the
-  /// wire for this block only (empty = all present). Malformed blocks
-  /// (wrong data or bitmap dimension, impossible tick) are journaled as
-  /// kReject and refused with std::invalid_argument at this boundary —
+  /// ServiceOverloaded per the backpressure policy. The optional `valid`
+  /// bitmap marks partial ticks: `valid[c] == 0` means channel c was lost
+  /// on the wire for this block only (empty = all present). Malformed
+  /// blocks (wrong data or bitmap dimension, impossible tick) are journaled
+  /// as kReject and refused with std::invalid_argument at this boundary —
   /// never out of a drain worker.
   void submit(EventId id, std::size_t tick, std::span<const double> d_block,
-              std::span<const std::uint8_t> valid);
+              std::span<const std::uint8_t> valid = {});
 
   /// Degraded-mode control plane: mask sensor channel `s` out of event
   /// `id`'s assimilation, mid-stream. The event's posterior becomes the
@@ -157,12 +149,10 @@ class WarningService {
   /// Launch drain jobs for queued sessions while under the concurrency cap.
   /// Called under queue_mutex_.
   void pump_locked();
-  /// Body of one pool drain job: drain the session (batched or not), then
-  /// release the drain slot and pump again.
+  /// Body of one pool drain job: co-opt same-engine peers with in-order
+  /// work, run them all through EventSession::drain, then release the
+  /// drain slot and pump again.
   void run_drain(std::shared_ptr<EventSession> leader);
-  /// Cross-event batched drain: co-opt tick-aligned same-engine sessions
-  /// and fuse their pushes through push_many.
-  void drain_batched(std::shared_ptr<EventSession> leader);
 
   ServiceOptions options_;
   ServiceTelemetry telemetry_;

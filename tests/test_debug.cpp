@@ -3,8 +3,9 @@
 // interposers really count (an allocation/lock inside a scope is seen);
 // steady-state cases prove the repo's zero-allocation claims on the real hot
 // paths — StreamingAssimilator push/push_many/forecast_into, the
-// BlockToeplitz apply family, the EventSession publish path — and a bounded-
-// allocation claim on the WarningService drain cycle.
+// BlockToeplitz apply family, the EventSession drain loop (one session and a
+// fused two-session round) — and a bounded-allocation claim on the
+// WarningService drain cycle.
 //
 // The whole suite GTEST_SKIPs unless built with -DTSUNAMI_CHECKS=ON (the
 // interposers are a debug/CI configuration); the `checks` CI job runs it.
@@ -186,7 +187,7 @@ TEST_F(SteadyStateTest, PushManyIsAllocAndLockFree) {
   StreamingAssimilator a1 = engine().start();
   warm_up(a0);
   warm_up(a1);
-  // Warm push_many's own thread_local pointer tables, then reset again.
+  // Run the K=2 path once so first-use setup happens unguarded, then reset.
   {
     StreamingAssimilator* events[] = {&a0, &a1};
     const std::span<const double> blocks[] = {block(0), block(0)};
@@ -255,27 +256,32 @@ TEST_F(SteadyStateTest, BlockToeplitzApplyFamilyIsAllocAndLockFree) {
   EXPECT_EQ(locks, 0u) << "steady-state BlockToeplitz apply took a mutex";
 }
 
-// The EventSession publish path (forecast_into + snapshot swap) is zero-
-// allocation in steady state. It is NOT lock-free by design — the snapshot
-// mutex is the dashboard-read contract — so only the allocation sentinel
-// arms here. drain_for runs on the test thread: the thread_local counters
-// see exactly the drain + publish work.
+// The EventSession drain loop (round scratch + push + forecast_into +
+// snapshot swap) is zero-allocation in steady state. It is NOT lock-free by
+// design — the snapshot mutex is the dashboard-read contract — so only the
+// allocation sentinel arms here. EventSession::drain runs on the test
+// thread: the thread_local counters see exactly the drain + publish work.
+void drain_one(EventSession& session, ServiceTelemetry& telemetry) {
+  EventSession* const owned[] = {&session};
+  EventSession::drain(owned, telemetry);
+}
+
 TEST_F(SteadyStateTest, EventSessionPublishIsAllocFree) {
   SKIP_WITHOUT_CHECKS();
   ServiceTelemetry telemetry;
   EventSession session(1, *cached_, AlertPolicy{}, 64,
                        BackpressurePolicy::kBlock);
-  // Warm two drain cycles: grow the drain batch, the staging forecast, and
-  // the assimilator's scratch.
+  // Warm two drain cycles: grow the round scratch, the staging forecast,
+  // and the assimilator's scratch.
   for (std::size_t t = 0; t < 2; ++t) {
     ASSERT_TRUE(session.submit(t, block(t), telemetry));
-    session.drain_for(telemetry);
+    drain_one(session, telemetry);
   }
   std::uint64_t allocs = 0;
   ASSERT_TRUE(session.submit(2, block(2), telemetry));
   {
     const ScopedNoAlloc no_alloc;
-    session.drain_for(telemetry);
+    drain_one(session, telemetry);
     allocs = no_alloc.allocations();
   }
   EXPECT_EQ(allocs, 0u) << "steady-state drain+publish allocated";
@@ -319,18 +325,51 @@ TEST_F(SteadyStateTest, EventSessionDrainWithJournalIsAllocFree) {
                        BackpressurePolicy::kBlock, &journal);
   for (std::size_t t = 0; t < 2; ++t) {
     ASSERT_TRUE(session.submit(t, block(t), telemetry));
-    session.drain_for(telemetry);
+    drain_one(session, telemetry);
   }
   std::uint64_t allocs = 0;
   ASSERT_TRUE(session.submit(2, block(2), telemetry));
   {
     const ScopedNoAlloc no_alloc;
-    session.drain_for(telemetry);
+    drain_one(session, telemetry);
     allocs = no_alloc.allocations();
   }
   EXPECT_EQ(allocs, 0u) << "journaled drain+publish allocated";
   // The journal really was written to on the guarded path.
   EXPECT_GE(journal.appended(), 4u);  // open + 3 push records
+}
+
+// A fused round: two tick-aligned sessions drained together go through one
+// K=2 push_many sweep, grouped and published from the reused round scratch.
+// Steady state must not allocate either — no per-round block vectors, tick
+// map or group tables.
+TEST_F(SteadyStateTest, EventSessionFusedRoundIsAllocFree) {
+  SKIP_WITHOUT_CHECKS();
+  ServiceTelemetry telemetry;
+  EventJournal journal;
+  EventSession a(1, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock,
+                 &journal);
+  EventSession b(2, *cached_, AlertPolicy{}, 64, BackpressurePolicy::kBlock,
+                 &journal);
+  EventSession* const owned[] = {&a, &b};
+  for (std::size_t t = 0; t < 2; ++t) {
+    ASSERT_TRUE(a.submit(t, block(t), telemetry));
+    ASSERT_TRUE(b.submit(t, block(t), telemetry));
+    EventSession::drain(owned, telemetry);
+  }
+  std::uint64_t allocs = 0;
+  ASSERT_TRUE(a.submit(2, block(2), telemetry));
+  ASSERT_TRUE(b.submit(2, block(2), telemetry));
+  {
+    const ScopedNoAlloc no_alloc;
+    EventSession::drain(owned, telemetry);
+    allocs = no_alloc.allocations();
+  }
+  EXPECT_EQ(allocs, 0u) << "fused drain round allocated";
+  EXPECT_EQ(a.snapshot().ticks_assimilated, 3u);
+  EXPECT_EQ(b.snapshot().ticks_assimilated, 3u);
+  // Same data, same engine: the fused pushes must leave identical state.
+  EXPECT_EQ(a.snapshot().forecast.mean, b.snapshot().forecast.mean);
 }
 
 // The full WarningService drain cycle cannot be allocation-FREE (each submit

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <thread>
@@ -260,6 +261,85 @@ TEST_P(WorkerCountTest, BatchedCrossEventPushMatchesSerialBitwise) {
     EXPECT_EQ(f.stddev, (*ref_push_)[e].stddev) << "event " << e;
     EXPECT_EQ(batch[e].map_estimate(), (*ref_maps_)[e]) << "event " << e;
   }
+}
+
+TEST_P(WorkerCountTest, BatchedMixedDegradedPushMatchesSerialBitwise) {
+  // The fused kernel's degraded branch. Every tick ONE push_many carries
+  // healthy events, events with validity bitmaps (a rotating lost channel;
+  // intermittent losses plus a whole-block loss) and an event that loses a
+  // sensor mid-stream and gets it back later. Each event must equal its own
+  // serial push replay bitwise: the dead-row projection advances per event
+  // inside the fused push, so sharing the sweep must not move a bit.
+  constexpr unsigned kEvents = 5;
+  const std::size_t nt = engine_->num_ticks();
+  const std::size_t nd = engine_->block_size();
+  ASSERT_GE(nt, 4u);
+  ASSERT_GE(nd, 2u);
+  const auto valid_for = [&](unsigned e, std::size_t t) {
+    std::vector<std::uint8_t> v;
+    if (e == 2) {
+      v.assign(nd, 1);
+      v[t % nd] = 0;
+    } else if (e == 3 && t == nt / 3) {
+      v.assign(nd, 0);
+    } else if (e == 3 && t % 3 == 1) {
+      v.assign(nd, 1);
+      v[0] = 0;
+      v[nd - 1] = 0;
+    }
+    return v;
+  };
+  // Control ops land between pushes, identically on both sides.
+  const auto control = [&](unsigned e, std::size_t t, StreamingAssimilator& a) {
+    if (e != 4) return;
+    if (t == nt / 2) a.drop_sensor(1);
+    if (t == nt - 1) a.restore_sensor(1);
+  };
+
+  std::vector<std::vector<double>> d;
+  std::vector<StreamingAssimilator> fused, serial;
+  for (unsigned e = 0; e < kEvents; ++e) {
+    d.push_back(obs(e));
+    fused.push_back(engine_->start());
+    serial.push_back(engine_->start());
+  }
+  for (unsigned e = 0; e < kEvents; ++e) {
+    for (std::size_t t = 0; t < nt; ++t) {
+      control(e, t, serial[e]);
+      serial[e].push(t, block(d[e], t), valid_for(e, t));
+    }
+  }
+
+  std::vector<StreamingAssimilator*> evs;
+  for (auto& a : fused) evs.push_back(&a);
+  for (std::size_t t = 0; t < nt; ++t) {
+    std::vector<std::vector<std::uint8_t>> valid;
+    std::vector<std::span<const double>> blocks;
+    std::vector<std::span<const std::uint8_t>> valids;
+    for (unsigned e = 0; e < kEvents; ++e) {
+      control(e, t, fused[e]);
+      valid.push_back(valid_for(e, t));
+      blocks.push_back(block(d[e], t));
+    }
+    for (const auto& v : valid) valids.emplace_back(v);
+    StreamingAssimilator::push_many(evs, t, blocks, valids);
+  }
+
+  for (unsigned e = 0; e < kEvents; ++e) {
+    ASSERT_TRUE(fused[e].complete()) << "event " << e;
+    EXPECT_EQ(fused[e].degraded(), e >= 2) << "event " << e;
+    const Forecast got = fused[e].forecast();
+    const Forecast want = serial[e].forecast();
+    EXPECT_EQ(got.mean, want.mean) << "event " << e;
+    EXPECT_EQ(got.stddev, want.stddev) << "event " << e;
+    EXPECT_EQ(got.lower95, want.lower95) << "event " << e;
+    EXPECT_EQ(got.upper95, want.upper95) << "event " << e;
+    EXPECT_EQ(fused[e].map_estimate(), serial[e].map_estimate())
+        << "event " << e;
+  }
+  // The healthy members of the mix also match the 1-worker reference.
+  for (unsigned e = 0; e < 2; ++e)
+    EXPECT_EQ(fused[e].forecast().mean, (*ref_push_)[e].mean) << "event " << e;
 }
 
 TEST_P(WorkerCountTest, ReductionsAreInvariant) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -400,10 +401,29 @@ TEST(Bridge, TimersBecomeSeries) {
 
 TEST(Bridge, PoolStatsExportOneSeriesPerWorker) {
   ThreadPool& pool = ThreadPool::global();
-  pool.run(64, [](std::size_t, std::size_t) {
+  // On a cold pool the caller can finish all 64 tiny items before any
+  // worker wakes, leaving every worker's job count at 0. So the first item
+  // waits (bounded) until some other participant claims an item: while it
+  // waits its thread claims nothing, so any other start is on another
+  // thread. At 1 worker the loop runs inline and there is nobody to wait
+  // for.
+  const bool wait_for_helper = pool.num_threads() > 1;
+  std::atomic<std::size_t> started{0};
+  pool.run(64, [&](std::size_t item, std::size_t) {
+    started.fetch_add(1, std::memory_order_relaxed);
+    if (item == 0 && wait_for_helper) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load(std::memory_order_relaxed) < 2 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    }
     volatile double x = 0;
     for (int i = 0; i < 1000; ++i) x = x + 1.0;
   });
+  // A helper job bumps its worker's count when the job returns, which can
+  // be after the loop's last item completes: wait the helpers out.
+  pool.wait_idle();
   MetricsSnapshot snap;
   collect_pool(pool, snap);
   const std::string text = prometheus_text(snap);

@@ -355,16 +355,15 @@ TEST_F(ServiceTest, ServiceOptionValidation) {
   EXPECT_THROW(WarningService({.num_workers = 0}), std::invalid_argument);
   EXPECT_THROW(WarningService({.max_pending_per_event = 0}),
                std::invalid_argument);
-  EXPECT_THROW(WarningService({.max_batch_events = 0}), std::invalid_argument);
 }
 
 // ---- cross-event batching ---------------------------------------------------
 //
-// The batcher fuses tick-aligned pushes from sessions on one engine into a
-// single push_many sweep. The contract under test: batching is INVISIBLE in
-// the results — per-event forecasts are bit-identical to independent serial
-// replays no matter how arrivals interleave, whether batching is on or off,
-// and no matter which sessions happen to share a sweep.
+// The drain loop fuses tick-aligned pushes from sessions on one engine into
+// a single push_many sweep. The contract under test: batching is INVISIBLE
+// in the results — per-event forecasts are bit-identical to independent
+// serial replays no matter how arrivals interleave and no matter which
+// sessions happen to share a sweep.
 
 TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
   // 8 events on 2 drain jobs, ticks submitted in pairs (t+1 before t) with
@@ -375,10 +374,7 @@ TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
   std::vector<std::vector<double>> obs;
   for (unsigned e = 0; e < kEvents; ++e) obs.push_back(make_obs(100 + e));
 
-  WarningService service({.num_workers = 2,
-                          .max_pending_per_event = 8,
-                          .cross_event_batching = true,
-                          .max_batch_events = kEvents});
+  WarningService service({.num_workers = 2, .max_pending_per_event = 8});
   std::vector<EventId> ids;
   for (unsigned e = 0; e < kEvents; ++e)
     ids.push_back(service.open_event(*cached_));
@@ -407,37 +403,6 @@ TEST_F(ServiceTest, BatchedReplayWithPairSwappedArrivalIsBitIdentical) {
   }
 }
 
-TEST_F(ServiceTest, BatchingOffMatchesBatchingOnBitwise) {
-  constexpr unsigned kEvents = 6;
-  std::vector<std::vector<double>> obs;
-  for (unsigned e = 0; e < kEvents; ++e) obs.push_back(make_obs(200 + e));
-
-  const auto run = [&](bool batching) {
-    WarningService service({.num_workers = 3,
-                           .cross_event_batching = batching});
-    std::vector<EventId> ids;
-    for (unsigned e = 0; e < kEvents; ++e)
-      ids.push_back(service.open_event(*cached_));
-    for (std::size_t t = 0; t < nt(); ++t)
-      for (unsigned e = 0; e < kEvents; ++e)
-        service.submit(ids[e], t, block(obs[e], t));
-    service.drain();
-    std::vector<Forecast> out;
-    for (unsigned e = 0; e < kEvents; ++e)
-      out.push_back(service.close_event(ids[e]).forecast);
-    return out;
-  };
-  const std::vector<Forecast> on = run(true);
-  const std::vector<Forecast> off = run(false);
-  for (unsigned e = 0; e < kEvents; ++e) {
-    const Forecast expect = replay(obs[e]).forecast();
-    EXPECT_EQ(on[e].mean, off[e].mean) << "event " << e;
-    EXPECT_EQ(on[e].stddev, off[e].stddev) << "event " << e;
-    EXPECT_EQ(on[e].mean, expect.mean) << "event " << e;
-    EXPECT_EQ(on[e].stddev, expect.stddev) << "event " << e;
-  }
-}
-
 TEST_F(ServiceTest, OpenCloseSubmitFuzzHasNoCrossEventLeakage) {
   // Fixed-seed fuzz of the service lifecycle: events open, close, and push
   // at random while the batcher keeps fusing whoever happens to be tick-
@@ -452,7 +417,7 @@ TEST_F(ServiceTest, OpenCloseSubmitFuzzHasNoCrossEventLeakage) {
     StreamingAssimilator mirror;
   };
   Rng rng(99);
-  WarningService service({.num_workers = 2, .max_batch_events = 4});
+  WarningService service({.num_workers = 2});
   // unique_ptr: the assimilator holds an engine reference and is not
   // move-assignable, so Live cannot live in the vector by value.
   std::vector<std::unique_ptr<Live>> live;
@@ -607,10 +572,7 @@ TEST_F(ServiceTest, JournalPushOrderStrictUnderCrossEventBatcher) {
   std::vector<std::vector<double>> obs;
   for (unsigned e = 0; e < kEvents; ++e) obs.push_back(make_obs(400 + e));
 
-  WarningService service({.num_workers = 2,
-                          .max_pending_per_event = 8,
-                          .cross_event_batching = true,
-                          .max_batch_events = kEvents});
+  WarningService service({.num_workers = 2, .max_pending_per_event = 8});
   std::vector<EventId> ids;
   for (unsigned e = 0; e < kEvents; ++e)
     ids.push_back(service.open_event(*cached_));
@@ -793,8 +755,7 @@ TEST_F(ServiceTest, CloseDuringBatchedDrainHasNoUseAfterRelease) {
   constexpr int kRounds = 25;
   constexpr std::size_t kEvents = 6;
   for (int round = 0; round < kRounds; ++round) {
-    WarningService service(
-        {.num_workers = 2, .max_batch_events = kEvents});
+    WarningService service({.num_workers = 2});
     std::vector<EventId> ids;
     std::vector<std::vector<double>> obs;
     for (std::size_t e = 0; e < kEvents; ++e) {
